@@ -500,7 +500,7 @@ func (c *Client) PushImage(ctx context.Context, src BlobSource, desc oci.Descrip
 	if err != nil {
 		return fmt.Errorf("distrib: loading manifest %s: %w", desc.Digest.Short(), err)
 	}
-	var refs manifestRefs
+	var refs ManifestRefs
 	if err := json.Unmarshal(raw, &refs); err != nil {
 		return fmt.Errorf("distrib: decoding manifest %s: %w", desc.Digest.Short(), err)
 	}
@@ -512,11 +512,7 @@ func (c *Client) PushImage(ctx context.Context, src BlobSource, desc oci.Descrip
 			}
 		}
 	} else {
-		var blobs []oci.Descriptor
-		if refs.Config != nil && refs.Config.Digest != "" {
-			blobs = append(blobs, *refs.Config)
-		}
-		blobs = append(blobs, refs.Layers...)
+		blobs := refs.Blobs()
 		// Fail fast if the source is missing a referenced blob: the
 		// registry would reject the manifest anyway.
 		for _, bd := range blobs {
@@ -535,10 +531,7 @@ func (c *Client) PushImage(ctx context.Context, src BlobSource, desc oci.Descrip
 	}
 	mediaType := desc.MediaType
 	if mediaType == "" {
-		mediaType = oci.MediaTypeManifest
-		if len(refs.Manifests) > 0 {
-			mediaType = oci.MediaTypeIndex
-		}
+		mediaType = refs.MediaType()
 	}
 	return c.withRetry(ctx, func(ctx context.Context) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.url(name, "manifests", tag), bytes.NewReader(raw))
@@ -677,7 +670,7 @@ func (c *Client) PullImage(ctx context.Context, dst Store, name, ref string) (oc
 	if err != nil {
 		return oci.Descriptor{}, err
 	}
-	var refs manifestRefs
+	var refs ManifestRefs
 	if err := json.Unmarshal(body, &refs); err != nil {
 		return oci.Descriptor{}, fmt.Errorf("distrib: decoding manifest %s: %w", d.Short(), err)
 	}
@@ -688,13 +681,8 @@ func (c *Client) PullImage(ctx context.Context, dst Store, name, ref string) (oc
 			}
 		}
 	} else {
-		var blobs []oci.Descriptor
-		if refs.Config != nil && refs.Config.Digest != "" {
-			blobs = append(blobs, *refs.Config)
-		}
-		blobs = append(blobs, refs.Layers...)
-		tasks := make([]func() error, 0, len(blobs))
-		for _, bd := range blobs {
+		var tasks []func() error
+		for _, bd := range refs.Blobs() {
 			if dst.Has(bd.Digest) {
 				continue // cross-image layer dedup: already local
 			}
@@ -709,10 +697,7 @@ func (c *Client) PullImage(ctx context.Context, dst Store, name, ref string) (oc
 		return oci.Descriptor{}, fmt.Errorf("distrib: storing manifest: %w", err)
 	}
 	if mediaType == "" {
-		mediaType = oci.MediaTypeManifest
-		if len(refs.Manifests) > 0 {
-			mediaType = oci.MediaTypeIndex
-		}
+		mediaType = refs.MediaType()
 	}
 	return oci.Descriptor{MediaType: mediaType, Digest: d, Size: int64(len(body))}, nil
 }

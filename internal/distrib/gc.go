@@ -8,13 +8,33 @@ import (
 	"comtainer/internal/oci"
 )
 
-// manifestRefs is the union shape of an image manifest and an image
+// ManifestRefs is the union shape of an image manifest and an image
 // index: whichever fields are present name the blobs the document
 // keeps alive.
-type manifestRefs struct {
+type ManifestRefs struct {
 	Config    *oci.Descriptor  `json:"config"`
 	Layers    []oci.Descriptor `json:"layers"`
 	Manifests []oci.Descriptor `json:"manifests"`
+}
+
+// Blobs returns every blob the document references: the config (when
+// set), the layers, and an index's member manifests.
+func (m ManifestRefs) Blobs() []oci.Descriptor {
+	var out []oci.Descriptor
+	if m.Config != nil && m.Config.Digest != "" {
+		out = append(out, *m.Config)
+	}
+	out = append(out, m.Layers...)
+	return append(out, m.Manifests...)
+}
+
+// MediaType is the media type a document without one defaults to: an
+// index when it lists manifests, an image manifest otherwise.
+func (m ManifestRefs) MediaType() string {
+	if len(m.Manifests) > 0 {
+		return oci.MediaTypeIndex
+	}
+	return oci.MediaTypeManifest
 }
 
 // GC deletes every blob not reachable from roots — the tagged
@@ -46,20 +66,18 @@ func GCProtected(s Store, roots []oci.Descriptor, protect func(digest.Digest) bo
 		if err != nil {
 			return fmt.Errorf("distrib: gc: reading manifest %s: %w", d.Short(), err)
 		}
-		var refs manifestRefs
+		var refs ManifestRefs
 		if err := json.Unmarshal(b, &refs); err != nil {
 			return fmt.Errorf("distrib: gc: decoding manifest %s: %w", d.Short(), err)
 		}
-		if refs.Config != nil && refs.Config.Digest != "" {
-			reachable[refs.Config.Digest] = true
-		}
-		for _, l := range refs.Layers {
-			reachable[l.Digest] = true
-		}
+		// Member manifests first: walk stops at anything already marked.
 		for _, m := range refs.Manifests {
 			if err := walk(m.Digest); err != nil {
 				return err
 			}
+		}
+		for _, ref := range refs.Blobs() {
+			reachable[ref.Digest] = true
 		}
 		return nil
 	}

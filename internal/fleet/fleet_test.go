@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"comtainer/internal/actioncache"
 	"comtainer/internal/digest"
 	"comtainer/internal/distrib"
 	"comtainer/internal/fleet"
@@ -480,4 +481,63 @@ func TestGCRacesConcurrentPushThroughProxy(t *testing.T) {
 			t.Fatalf("v%d digest %s, want %s", i, got.Digest, descs[i].Digest)
 		}
 	}
+}
+
+// TestProxyMissingManifestIsNotFound: an unknown manifest is a
+// definitive 404 from the owning group's leader, which the proxy
+// passes through without promoting a replica or asking another group.
+// So a remote action-cache lookup against the proxy misses cleanly
+// after one client request, exactly as against a single registry.
+func TestProxyMissingManifestIsNotFound(t *testing.T) {
+	_, ts, shards := startFleet(t, 2, 2)
+	followers := &requestCounter{}
+	for _, sh := range shards {
+		f := sh.replicas[1]
+		f.ts.Config.Handler = followers.wrap(f.srv.Handler())
+	}
+	clientReqs := &requestCounter{}
+	c := fastClient(ts.URL)
+	c.HTTP = &http.Client{Transport: clientReqs}
+	val, ok, err := actioncache.NewRemoteCacheClient(c, "").Get(digest.FromString("never stored"))
+	if val != nil || ok || err != nil {
+		t.Errorf("remote cache Get of a missing key = (%q, %v, %v), want a clean miss", val, ok, err)
+	}
+	if n := clientReqs.n.Load(); n != 1 {
+		t.Errorf("the miss cost %d client requests, want 1", n)
+	}
+	for _, method := range []string{http.MethodGet, http.MethodHead} {
+		req, _ := http.NewRequest(method, ts.URL+"/v2/app/manifests/nope", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s unknown manifest: status %d, want 404", method, resp.StatusCode)
+		}
+	}
+	if n := followers.n.Load(); n != 0 {
+		t.Errorf("followers saw %d requests, want none", n)
+	}
+	for _, sh := range shards {
+		if lead := sh.group.Leader(); lead != sh.replicas[0].ts.URL {
+			t.Errorf("group %s promoted %s on a 404", sh.group.Name(), lead)
+		}
+	}
+}
+
+// requestCounter counts requests, as server middleware or as a client
+// transport.
+type requestCounter struct{ n atomic.Int64 }
+
+func (c *requestCounter) wrap(inner http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		c.n.Add(1)
+		inner.ServeHTTP(w, r)
+	})
+}
+
+func (c *requestCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,21 +22,16 @@ import (
 // TablePath is where the proxy serves its routing table.
 const TablePath = "/fleet/v1/table"
 
-// maxManifestSize bounds manifest documents on the fan-out path.
-const maxManifestSize = 16 << 20
-
-// maxBlobSize bounds a single proxied blob upload.
-const maxBlobSize = int64(1) << 30
-
 // DefaultHeartbeatMisses is how many consecutive failed leader pings
 // Watch tolerates before promoting a follower.
 const DefaultHeartbeatMisses = 2
 
-// Proxy is the stateless fleet front-end: it speaks the OCI
-// distribution API, routes every blob operation to the shard group
-// owning the digest (with failover promotion when a leader dies
-// mid-request), fans manifest and tag operations out to every shard,
-// and optionally pull-through caches blobs in a bounded local store.
+// Proxy is the stateless fleet front-end: a registry.Backend behind the
+// shared distribution router, it routes every blob operation to the
+// shard group owning the digest (with failover promotion when a leader
+// dies mid-request), fans manifest and tag operations out to every
+// shard, and optionally pull-through caches blobs in a bounded local
+// store.
 // Holding no state a restart can lose — upload sessions aside, which
 // clients simply restart — any number of proxies can front the same
 // shard fleet.
@@ -268,7 +262,7 @@ func (p *Proxy) withGroup(g *ShardGroup, fn func(base string) error) error {
 // control plane.
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v2/", p.route)
+	mux.Handle("/v2/", registry.NewRouter(p, p.uploads))
 	mux.HandleFunc(TablePath, p.serveTable)
 	if p.FarmBackend != "" {
 		mux.HandleFunc("/farm/", p.forwardFarm)
@@ -276,89 +270,45 @@ func (p *Proxy) Handler() http.Handler {
 	return mux
 }
 
-// route dispatches /v2/<name>/(manifests|blobs|blobs/uploads)/<ref>,
-// mirroring the registry's router so existing clients work unchanged.
-func (p *Proxy) route(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v2/")
-	if rest == "" {
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	if strings.HasSuffix(rest, "/tags/list") && r.Method == http.MethodGet {
-		p.listTags(w, r, strings.TrimSuffix(rest, "/tags/list"))
-		return
-	}
-	var name, kind, ref string
-	for _, k := range []string{"/manifests/", "/blobs/"} {
-		if i := strings.LastIndex(rest, k); i >= 0 {
-			name, kind, ref = rest[:i], strings.Trim(k, "/"), rest[i+len(k):]
-			break
-		}
-	}
-	if name == "" || (ref == "" && !strings.HasSuffix(rest, "/blobs/uploads/")) {
-		http.Error(w, "not found", http.StatusNotFound)
-		return
-	}
-	if kind == "manifests" {
-		switch r.Method {
-		case http.MethodGet, http.MethodHead:
-			p.getManifest(w, r, name, ref)
-		case http.MethodPut:
-			p.putManifest(w, r, name, ref)
-		default:
-			http.Error(w, "unsupported operation", http.StatusMethodNotAllowed)
-		}
-		return
-	}
-	if id, ok := strings.CutPrefix(ref, "uploads"); ok {
-		id = strings.TrimPrefix(id, "/")
-		p.routeUpload(w, r, name, id)
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		p.getBlob(w, r, name, ref)
-	case http.MethodHead:
-		p.headBlob(w, r, name, ref)
-	default:
-		http.Error(w, "unsupported operation", http.StatusMethodNotAllowed)
-	}
-}
+// --- the registry.Backend the shared router drives ---
 
-// --- blob reads ---
-
-func (p *Proxy) getBlob(w http.ResponseWriter, r *http.Request, name, ref string) {
-	d, err := digest.Parse(ref)
-	if err != nil {
-		http.Error(w, "invalid digest", http.StatusBadRequest)
-		return
+// ServeBlob answers blob GET and HEAD: from the pull-through cache when
+// it holds d; otherwise a GET is redirected to the owning leader
+// (RedirectReads) or pulled through the cache, and anything left is
+// relayed to the owning group.
+func (p *Proxy) ServeBlob(w http.ResponseWriter, r *http.Request, name string, d digest.Digest) error {
+	// The hit/miss counters track blob reads; a HEAD is an existence
+	// probe and never fills the cache.
+	get := r.Method == http.MethodGet
+	if p.cacheHas(d) && registry.ServeBlob(w, r, p.cacheStore(), d) {
+		if get {
+			p.cacheHits.Add(1)
+		}
+		return nil
 	}
 	g := p.groupFor(d)
-	if p.cacheHas(d) {
-		p.cacheHits.Add(1)
-		registry.ServeBlob(w, r, p.cacheStore(), d)
-		return
-	}
-	p.cacheMisses.Add(1)
-	if p.RedirectReads {
-		http.Redirect(w, r, g.Leader()+"/v2/"+name+"/blobs/"+string(d), http.StatusTemporaryRedirect)
-		return
-	}
-	if p.cacheStore() != nil {
-		// Pull-through: fetch into the cache (verified), serve from it.
-		staging := p.cacheStore()
-		err := p.withGroup(g, func(base string) error {
-			return p.clientFor(base).FetchBlob(r.Context(), staging, name, d)
-		})
-		if err != nil {
-			p.proxyError(w, err)
-			return
+	path := "/v2/" + name + "/blobs/" + string(d)
+	if get {
+		p.cacheMisses.Add(1)
+		if p.RedirectReads {
+			http.Redirect(w, r, g.Leader()+path, http.StatusTemporaryRedirect)
+			return nil
 		}
-		p.noteFetched(d)
-		registry.ServeBlob(w, r, staging, d)
-		return
+		if staging := p.cacheStore(); staging != nil {
+			// Pull-through: fetch into the cache (verified), serve from it.
+			err := p.withGroup(g, func(base string) error {
+				return p.clientFor(base).FetchBlob(r.Context(), staging, name, d)
+			})
+			if err != nil {
+				return shardError(err)
+			}
+			p.noteFetched(d)
+			if registry.ServeBlob(w, r, staging, d) {
+				return nil
+			}
+		}
 	}
-	p.forwardBlob(w, r, g, "/v2/"+name+"/blobs/"+string(d))
+	return p.forwardBlob(w, r, g, path)
 }
 
 // cacheStore returns the mounted cache store (nil when none).
@@ -396,30 +346,9 @@ func (p *Proxy) noteFetched(d digest.Digest) {
 	p.evictLocked()
 }
 
-func (p *Proxy) headBlob(w http.ResponseWriter, r *http.Request, name, ref string) {
-	d, err := digest.Parse(ref)
-	if err != nil {
-		http.Error(w, "invalid digest", http.StatusBadRequest)
-		return
-	}
-	if p.cacheHas(d) {
-		store := p.cacheStore()
-		rc, size, err := store.Open(d)
-		if err == nil {
-			rc.Close()
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Docker-Content-Digest", string(d))
-			w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-	}
-	p.forwardBlob(w, r, p.groupFor(d), "/v2/"+name+"/blobs/"+string(d))
-}
-
 // forwardBlob relays a blob GET/HEAD to the owning group with
 // failover, streaming the response through.
-func (p *Proxy) forwardBlob(w http.ResponseWriter, r *http.Request, g *ShardGroup, path string) {
+func (p *Proxy) forwardBlob(w http.ResponseWriter, r *http.Request, g *ShardGroup, path string) error {
 	err := p.withGroup(g, func(base string) error {
 		req, err := http.NewRequestWithContext(r.Context(), r.Method, base+path, nil)
 		if err != nil {
@@ -440,9 +369,7 @@ func (p *Proxy) forwardBlob(w http.ResponseWriter, r *http.Request, g *ShardGrou
 		relayResponse(w, resp)
 		return nil
 	})
-	if err != nil {
-		p.proxyError(w, err)
-	}
+	return shardError(err)
 }
 
 // relayResponse copies a shard response (status, distribution
@@ -461,132 +388,26 @@ func relayResponse(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// proxyError maps a routed-request failure onto the client response:
-// a definitive 404 from the shard passes through, everything else is
-// a 502 the client's retry logic treats as transient.
-func (p *Proxy) proxyError(w http.ResponseWriter, err error) {
-	if distrib.IsNotFound(err) {
-		http.Error(w, "not found", http.StatusNotFound)
-		return
+// shardError tags a routed-request failure for the router: a
+// definitive 404 from the shard passes through as 404, anything else
+// is a 502 the client's retry logic treats as transient.
+func shardError(err error) error {
+	if err == nil || distrib.IsNotFound(err) {
+		return err
 	}
-	http.Error(w, err.Error(), http.StatusBadGateway)
+	return &registry.StatusError{Code: http.StatusBadGateway, Err: err}
 }
 
-// --- blob uploads ---
-
-// routeUpload implements the upload-session protocol proxy-side: the
-// session accumulates locally, and the finalizing PUT pushes the
-// complete verified blob to the owning shard — the client's 201 is
-// issued only after the shard leader (and, through its replication
-// hook, every follower) has acknowledged durably.
-func (p *Proxy) routeUpload(w http.ResponseWriter, r *http.Request, name, id string) {
-	if id == "" {
-		switch {
-		case r.Method == http.MethodPost && r.URL.Query().Get("digest") == "":
-			u, err := p.uploads.Start(name)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Location", "/v2/"+name+"/blobs/uploads/"+u.ID)
-			w.Header().Set("Docker-Upload-UUID", u.ID)
-			w.Header().Set("Range", "0-0")
-			w.WriteHeader(http.StatusAccepted)
-		case r.URL.Query().Get("digest") != "":
-			p.putBlobMonolithic(w, r, name)
-		default:
-			http.Error(w, "unsupported operation", http.StatusMethodNotAllowed)
-		}
-		return
-	}
-	u, ok := p.uploads.Get(id)
-	if !ok {
-		http.Error(w, "upload unknown", http.StatusNotFound)
-		return
-	}
-	switch r.Method {
-	case http.MethodPatch:
-		expectStart := int64(-1)
-		if cr := r.Header.Get("Content-Range"); cr != "" {
-			start, _, ok := strings.Cut(strings.TrimPrefix(cr, "bytes "), "-")
-			n, err := strconv.ParseInt(start, 10, 64)
-			if !ok || err != nil || n < 0 {
-				http.Error(w, "malformed Content-Range", http.StatusBadRequest)
-				return
-			}
-			expectStart = n
-		}
-		size, err := u.Append(r.Body, expectStart)
-		w.Header().Set("Docker-Upload-UUID", u.ID)
-		w.Header().Set("Range", uploadRange(size))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
-	case http.MethodPut:
-		if r.ContentLength != 0 {
-			if _, err := u.Append(r.Body, -1); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		want, err := digest.Parse(r.URL.Query().Get("digest"))
-		if err != nil {
-			http.Error(w, "invalid digest", http.StatusBadRequest)
-			return
-		}
-		staging := oci.NewStore()
-		d, _, err := p.uploads.Commit(u, staging, want)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := p.pushToShard(r.Context(), staging, name, d); err != nil {
-			p.proxyError(w, err)
-			return
-		}
-		w.Header().Set("Location", "/v2/"+name+"/blobs/"+string(d))
-		w.Header().Set("Docker-Content-Digest", string(d))
-		w.WriteHeader(http.StatusCreated)
-	case http.MethodGet:
-		w.Header().Set("Docker-Upload-UUID", u.ID)
-		w.Header().Set("Range", uploadRange(u.Size()))
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodDelete:
-		p.uploads.Cancel(u)
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		http.Error(w, "unsupported operation", http.StatusMethodNotAllowed)
-	}
-}
-
-// uploadRange renders the session Range header ("0-0" when empty).
-func uploadRange(size int64) string {
-	if size <= 0 {
-		return "0-0"
-	}
-	return fmt.Sprintf("0-%d", size-1)
-}
-
-func (p *Proxy) putBlobMonolithic(w http.ResponseWriter, r *http.Request, name string) {
-	want, err := digest.Parse(r.URL.Query().Get("digest"))
-	if err != nil {
-		http.Error(w, "invalid digest", http.StatusBadRequest)
-		return
-	}
+// CommitBlob stages an upload at the proxy, then pushes the complete
+// verified blob to the owning shard: the client's 201 is issued only
+// after the shard leader (and, through its replication hook, every
+// follower) has acknowledged durably.
+func (p *Proxy) CommitBlob(r *http.Request, name string, want digest.Digest, ingest func(distrib.BlobSink) error) error {
 	staging := oci.NewStore()
-	d, _, err := staging.Ingest(io.LimitReader(r.Body, maxBlobSize), want)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	if err := ingest(staging); err != nil {
+		return err
 	}
-	if err := p.pushToShard(r.Context(), staging, name, d); err != nil {
-		p.proxyError(w, err)
-		return
-	}
-	w.Header().Set("Docker-Content-Digest", string(d))
-	w.WriteHeader(http.StatusCreated)
+	return shardError(p.pushToShard(r.Context(), staging, name, want))
 }
 
 // pushToShard pushes a staged blob to its owning shard group (with
@@ -605,170 +426,74 @@ func (p *Proxy) pushToShard(ctx context.Context, staging distrib.BlobSource, nam
 
 // --- manifests and tags ---
 
-// blobExists answers the fleet-wide referential check: the cache or
-// the owning shard group holds d.
-func (p *Proxy) blobExists(ctx context.Context, d digest.Digest) (bool, error) {
+// HasBlob answers the fleet-wide referential check: the cache or the
+// owning shard group holds d.
+func (p *Proxy) HasBlob(ctx context.Context, d digest.Digest) (bool, error) {
 	if p.cacheHas(d) {
 		return true, nil
 	}
-	g := p.groupFor(d)
 	var found bool
-	err := p.withGroup(g, func(base string) error {
+	err := p.withGroup(p.groupFor(d), func(base string) error {
 		ok, err := p.clientFor(base).HasBlob(ctx, "fleet", d)
-		if err != nil {
-			return err
-		}
 		found = ok
-		return nil
+		return err
 	})
-	return found, err
+	return found, shardError(err)
 }
 
-// putManifest performs the fleet-wide referential check and fans the
-// manifest out to every shard group, so any shard can resolve tags
-// and anchor its own GC roots. Acknowledged only once every group
-// holds it.
-func (p *Proxy) putManifest(w http.ResponseWriter, r *http.Request, name, ref string) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxManifestSize))
-	if err != nil {
-		http.Error(w, "read error", http.StatusBadRequest)
-		return
-	}
-	var refs struct {
-		Config    *oci.Descriptor  `json:"config"`
-		Layers    []oci.Descriptor `json:"layers"`
-		Manifests []oci.Descriptor `json:"manifests"`
-	}
-	if err := json.Unmarshal(body, &refs); err != nil {
-		http.Error(w, "manifest is not valid JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var referenced []oci.Descriptor
-	if refs.Config != nil && refs.Config.Digest != "" {
-		referenced = append(referenced, *refs.Config)
-	}
-	referenced = append(referenced, refs.Layers...)
-	referenced = append(referenced, refs.Manifests...)
-	for _, rd := range referenced {
-		ok, err := p.blobExists(r.Context(), rd.Digest)
-		if err != nil {
-			p.proxyError(w, err)
-			return
-		}
-		if !ok {
-			http.Error(w, fmt.Sprintf("manifest references missing blob %s", rd.Digest), http.StatusBadRequest)
-			return
-		}
-	}
-	d := digest.FromBytes(body)
-	if want, err := digest.Parse(ref); err == nil && want != d {
-		http.Error(w, fmt.Sprintf("manifest digest mismatch: content is %s, ref is %s", d, want), http.StatusBadRequest)
-		return
-	}
-	mediaType := r.Header.Get("Content-Type")
-	if mediaType == "" {
-		mediaType = oci.MediaTypeManifest
-		if len(refs.Manifests) > 0 {
-			mediaType = oci.MediaTypeIndex
-		}
-	}
-	for _, name2 := range p.order {
-		g := p.groups[name2]
-		err := p.withGroup(g, func(base string) error {
+// PutManifest fans a validated manifest out to every shard group, so
+// any shard can resolve tags and anchor its own GC roots. Acknowledged
+// only once every group holds it.
+func (p *Proxy) PutManifest(r *http.Request, name, ref, mediaType string, body []byte) error {
+	for _, gname := range p.order {
+		err := p.withGroup(p.groups[gname], func(base string) error {
 			return putManifestTo(r.Context(), p.httpClient(), base, name, ref, mediaType, body)
 		})
 		if err != nil {
-			p.proxyError(w, err)
-			return
+			return shardError(err)
 		}
 	}
-	w.Header().Set("Location", "/v2/"+name+"/manifests/"+string(d))
-	w.Header().Set("Docker-Content-Digest", string(d))
-	w.WriteHeader(http.StatusCreated)
+	return nil
 }
 
-// getManifest serves manifest GET/HEAD. Manifests are fanned out to
-// every shard, so the owner of "name:ref" is just the deterministic
-// first stop; any healthy group can answer.
-func (p *Proxy) getManifest(w http.ResponseWriter, r *http.Request, name, ref string) {
-	var lastErr error
-	for _, g := range p.groupsFrom(name + ":" + ref) {
-		err := p.withGroup(g, func(base string) error {
-			req, err := http.NewRequestWithContext(r.Context(), r.Method, base+"/v2/"+name+"/manifests/"+ref, nil)
-			if err != nil {
-				return err
-			}
-			if acc := r.Header.Get("Accept"); acc != "" {
-				req.Header.Set("Accept", acc)
-			}
-			resp, err := p.httpClient().Do(req)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				if resp.StatusCode == http.StatusNotFound {
-					return notFoundErr(base, strings.TrimSpace(string(msg)))
-				}
-				return fmt.Errorf("fleet: GET %s: status %s: %s", base, resp.Status, strings.TrimSpace(string(msg)))
-			}
-			relayResponse(w, resp)
-			return nil
-		})
-		if err == nil {
-			return
-		}
-		lastErr = err
-		if distrib.IsNotFound(err) {
-			// Every shard holds every manifest: the owner's definitive
-			// 404 is the fleet's answer.
+// Manifest fetches name:ref from the first group that answers.
+func (p *Proxy) Manifest(ctx context.Context, name, ref string) ([]byte, digest.Digest, string, error) {
+	var body []byte
+	var d digest.Digest
+	var mediaType string
+	err := p.anyGroup(name+":"+ref, func(c *distrib.Client) error {
+		var err error
+		body, d, mediaType, err = c.FetchManifest(ctx, name, ref)
+		return err
+	})
+	return body, d, mediaType, err
+}
+
+// ListTags lists the tags of name from the first group that answers.
+func (p *Proxy) ListTags(ctx context.Context, name string) ([]string, error) {
+	var tags []string
+	err := p.anyGroup(name, func(c *distrib.Client) error {
+		var err error
+		tags, err = c.ListTags(ctx, name)
+		return err
+	})
+	return tags, err
+}
+
+// anyGroup reads fanned-out metadata (manifests, tags), trying each
+// group in turn from the owner of key until one answers. Every group
+// holds every manifest, so the first definitive 404 is the fleet's
+// answer: it passes through without promoting a replica or asking
+// another group.
+func (p *Proxy) anyGroup(key string, fn func(*distrib.Client) error) error {
+	var err error
+	for _, g := range p.groupsFrom(key) {
+		err = p.withGroup(g, func(base string) error { return fn(p.clientFor(base)) })
+		if err == nil || distrib.IsNotFound(err) {
 			break
 		}
 	}
-	p.proxyError(w, lastErr)
-}
-
-// listTags relays the tags/list endpoint; refs are fanned out, so the
-// first healthy group answers for the fleet.
-func (p *Proxy) listTags(w http.ResponseWriter, r *http.Request, name string) {
-	var lastErr error
-	for _, g := range p.groupsFrom(name) {
-		err := p.withGroup(g, func(base string) error {
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, base+"/v2/"+name+"/tags/list", nil)
-			if err != nil {
-				return err
-			}
-			resp, err := p.httpClient().Do(req)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				return fmt.Errorf("fleet: GET tags %s: status %s: %s", base, resp.Status, strings.TrimSpace(string(msg)))
-			}
-			relayResponse(w, resp)
-			return nil
-		})
-		if err == nil {
-			return
-		}
-		lastErr = err
-	}
-	p.proxyError(w, lastErr)
-}
-
-// notFoundErr fabricates a distrib-recognizable 404 so failover and
-// pass-through logic can classify it.
-func notFoundErr(url, msg string) error {
-	return &notFoundError{url: url, msg: msg}
-}
-
-type notFoundError struct{ url, msg string }
-
-func (e *notFoundError) Error() string {
-	return fmt.Sprintf("fleet: %s: not found: %s", e.url, e.msg)
+	return shardError(err)
 }
 
 // --- farm forwarding ---

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,138 +15,9 @@ import (
 	"comtainer/internal/oci"
 )
 
-// TestHeadManifestHeadersNoBody: HEAD /v2/<name>/manifests/<ref> must
-// return the digest, type and length headers with an empty body.
-func TestHeadManifestHeadersNoBody(t *testing.T) {
-	srv := NewServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	src, tag := testImageRepo(t)
-	client := NewClient(ts.URL)
-	if err := client.Push(context.Background(), src, tag, "demo", "v1"); err != nil {
-		t.Fatal(err)
-	}
-	desc, _ := src.Resolve(tag)
-	manifestBytes, _ := src.Store.Get(desc.Digest)
-
-	req, _ := http.NewRequest(http.MethodHead, ts.URL+"/v2/demo/manifests/v1", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HEAD manifest: %s", resp.Status)
-	}
-	if got := resp.Header.Get("Docker-Content-Digest"); got != string(desc.Digest) {
-		t.Errorf("Docker-Content-Digest = %q, want %q", got, desc.Digest)
-	}
-	if got := resp.Header.Get("Content-Type"); got != oci.MediaTypeManifest {
-		t.Errorf("Content-Type = %q", got)
-	}
-	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(manifestBytes)) {
-		t.Errorf("Content-Length = %q, want %d", got, len(manifestBytes))
-	}
-	body, _ := io.ReadAll(resp.Body)
-	if len(body) != 0 {
-		t.Errorf("HEAD returned %d body bytes", len(body))
-	}
-}
-
-// TestHeadBlobHeaders: HEAD blobs must carry digest and length so
-// clients can preallocate.
-func TestHeadBlobHeaders(t *testing.T) {
-	srv := NewServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	content := []byte("blob with a knowable size")
-	d, err := distribIngest(srv, content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, _ := http.NewRequest(http.MethodHead, ts.URL+"/v2/x/blobs/"+string(d), nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HEAD blob: %s", resp.Status)
-	}
-	if got := resp.Header.Get("Docker-Content-Digest"); got != string(d) {
-		t.Errorf("Docker-Content-Digest = %q", got)
-	}
-	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(content)) {
-		t.Errorf("Content-Length = %q, want %d", got, len(content))
-	}
-}
-
 func distribIngest(srv *Server, content []byte) (digest.Digest, error) {
 	d, _, err := srv.Blobs().Ingest(bytes.NewReader(content), "")
 	return d, err
-}
-
-// TestGetBlobContentLengthAndRange covers explicit Content-Length on
-// full GETs and 206 partial responses for Range requests.
-func TestGetBlobContentLengthAndRange(t *testing.T) {
-	srv := NewServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	content := []byte("0123456789abcdefghij")
-	d, err := distribIngest(srv, content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full GET.
-	resp, err := http.Get(ts.URL + "/v2/x/blobs/" + string(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(content)) {
-		t.Errorf("Content-Length = %q, want %d", got, len(content))
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !bytes.Equal(body, content) {
-		t.Error("full GET content mismatch")
-	}
-	// Range GETs.
-	for _, tc := range []struct {
-		rng, want, contentRange string
-	}{
-		{"bytes=5-9", "56789", "bytes 5-9/20"},
-		{"bytes=15-", "fghij", "bytes 15-19/20"},
-		{"bytes=10-99", "abcdefghij", "bytes 10-19/20"},
-	} {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v2/x/blobs/"+string(d), nil)
-		req.Header.Set("Range", tc.rng)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPartialContent {
-			t.Errorf("Range %q: status %s", tc.rng, resp.Status)
-		}
-		if string(body) != tc.want {
-			t.Errorf("Range %q: body %q, want %q", tc.rng, body, tc.want)
-		}
-		if got := resp.Header.Get("Content-Range"); got != tc.contentRange {
-			t.Errorf("Range %q: Content-Range %q, want %q", tc.rng, got, tc.contentRange)
-		}
-	}
-	// Unsatisfiable range.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v2/x/blobs/"+string(d), nil)
-	req.Header.Set("Range", "bytes=99-")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
-		t.Errorf("out-of-bounds range: status %s", resp.Status)
-	}
 }
 
 // TestPutManifestRejectsMissingBlobs: a manifest referencing absent

@@ -62,6 +62,12 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== e2ebench (own module) =="
+# e2ebench/ is a separate Go module, so `go build ./...` above never
+# compiles it. Vet and test it here: an API change it depends on
+# (registry, fleet, distrib, ...) must fail the gate, not the benchmark.
+(cd e2ebench && go vet . && go test -count=1 .)
+
 echo "== chaos (-race, -short seed subset) =="
 # Fast fault-injection smoke: crash-restart-verify cycles over a
 # reduced seed subset (-short trims 100 seeds to 10 per suite), plus
