@@ -50,11 +50,8 @@ func (s ExecStats) String() string {
 type Executor struct {
 	// Scheduler is the farm base URL (also serving /v2/ blob traffic).
 	Scheduler string
-	// Client moves the snapshot, overlays and payloads.
+	// Client moves the snapshot, overlays and payloads (in DefaultRepo).
 	Client *distrib.Client
-	// Repo is the registry repository for execution blobs
-	// (DefaultRepo when empty).
-	Repo string
 	// Platform every shipped task demands.
 	Platform Platform
 	// Timeout bounds each action's farm round trip
@@ -62,8 +59,7 @@ type Executor struct {
 	Timeout time.Duration
 
 	mu       sync.Mutex
-	prepared bool
-	baseTree digest.Digest
+	baseTree digest.Digest // empty until Prepare succeeds
 
 	remote, local, errs atomic.Int64
 }
@@ -76,13 +72,6 @@ func NewExecutor(scheduler string, sys *sysprofile.System, reg *toolchain.Regist
 		Client:    distrib.NewClient(scheduler),
 		Platform:  Platform{ISA: sys.ISA, System: sys.Name, Toolchains: reg.Fingerprint()},
 	}
-}
-
-func (e *Executor) repo() string {
-	if e.Repo != "" {
-		return e.Repo
-	}
-	return DefaultRepo
 }
 
 func (e *Executor) httpClient() *http.Client {
@@ -112,21 +101,15 @@ func (e *Executor) Stats() ExecStats {
 // per-op deadline. Until it succeeds every Execute declines, so a
 // failed Prepare degrades the whole rebuild to local execution.
 func (e *Executor) Prepare(fsys *fsim.FS) error {
-	//comtainer:allow ctxflow -- Prepare is called from the ctx-free rebuild path; the root is bounded by the per-op Timeout opCtx applies, and ctx-aware callers use PrepareContext
-	return e.PrepareContext(context.Background(), fsys)
-}
-
-// PrepareContext is Prepare honoring ctx.
-func (e *Executor) PrepareContext(ctx context.Context, fsys *fsim.FS) error {
-	ctx, cancel := e.opCtx(ctx)
+	//comtainer:allow ctxflow -- Prepare is called once per session from the ctx-free rebuild path; the per-op Timeout opCtx applies bounds this root
+	ctx, cancel := e.opCtx(context.Background())
 	defer cancel()
-	td, err := PushTree(ctx, e.Client, e.repo(), fsys)
+	td, err := PushTree(ctx, e.Client, DefaultRepo, fsys)
 	if err != nil {
 		return err
 	}
 	e.mu.Lock()
 	e.baseTree = td
-	e.prepared = true
 	e.mu.Unlock()
 	return nil
 }
@@ -138,20 +121,15 @@ func (e *Executor) PrepareContext(ctx context.Context, fsys *fsim.FS) error {
 // timeouts, transport failures — returns (nil, nil): the caller runs
 // the command locally and the rebuild proceeds.
 func (e *Executor) Execute(argv []string, cwd string, overlay []actioncache.Output) (*toolchain.RemoteResult, error) {
-	//comtainer:allow ctxflow -- Execute implements toolchain.RemoteExec, a ctx-free hook invoked from the rebuild DAG workers; the root is bounded by the per-op Timeout opCtx applies, and ctx-aware callers use ExecuteContext
-	return e.ExecuteContext(context.Background(), argv, cwd, overlay)
-}
-
-// ExecuteContext is Execute honoring ctx.
-func (e *Executor) ExecuteContext(ctx context.Context, argv []string, cwd string, overlay []actioncache.Output) (*toolchain.RemoteResult, error) {
 	e.mu.Lock()
-	prepared, base := e.prepared, e.baseTree
+	base := e.baseTree
 	e.mu.Unlock()
-	if !prepared {
+	if base == "" {
 		e.local.Add(1)
 		return nil, nil
 	}
-	ctx, cancel := e.opCtx(ctx)
+	//comtainer:allow ctxflow -- Execute implements toolchain.RemoteExec, a ctx-free hook invoked from the rebuild DAG workers; the per-op Timeout opCtx applies bounds this root
+	ctx, cancel := e.opCtx(context.Background())
 	defer cancel()
 	rr, err := e.tryFarm(ctx, argv, cwd, overlay, base)
 	if err != nil || rr == nil {
@@ -172,11 +150,11 @@ func (e *Executor) tryFarm(ctx context.Context, argv []string, cwd string, overl
 		Argv:     argv,
 		Cwd:      cwd,
 		Platform: e.Platform,
-		Repo:     e.repo(),
+		Repo:     DefaultRepo,
 		BaseTree: base,
 	}
 	if len(overlay) > 0 {
-		od, err := PushPayload(ctx, e.Client, e.repo(), Payload{Outputs: overlay})
+		od, err := PushPayload(ctx, e.Client, DefaultRepo, Payload{Outputs: overlay})
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +175,7 @@ func (e *Executor) tryFarm(ctx context.Context, argv []string, cwd string, overl
 		}
 		switch st.State {
 		case StateDone:
-			p, err := FetchPayload(ctx, e.Client, e.repo(), st.Payload)
+			p, err := FetchPayload(ctx, e.Client, DefaultRepo, st.Payload)
 			if err != nil {
 				return nil, err
 			}

@@ -29,8 +29,13 @@
 //     against its own file system before recording the result — the
 //     local action cache stays executor-authoritative.
 //
+// Long polls park on one broadcast channel that every scheduler state
+// change closes and replaces, so a lease or status poll answers as
+// soon as its condition holds.
+//
 // Failure model: workers that miss heartbeats are expired lazily by
-// the scheduler's long-poll loops and their in-flight tasks requeued
+// the scheduler's long polls, which also wake when the earliest live
+// worker's heartbeat window closes; their in-flight tasks are requeued
 // (bounded attempts); a farm with no compatible worker declines at
 // submit time; every farm error degrades to local execution, so a
 // rebuild never fails because the farm did.
@@ -121,25 +126,15 @@ type LeasedTask struct {
 }
 
 // LeaseResponse answers a worker's lease poll. Tasks carries the
-// batch granted against the poll's ?max= budget (oldest first); Task
-// duplicates the first entry so pre-batch workers keep functioning
-// against a new scheduler. Both empty means the poll timed out with
-// nothing assignable.
+// batch granted against the poll's ?max= budget (oldest first); empty
+// means the poll timed out with nothing assignable.
 type LeaseResponse struct {
-	Task  *LeasedTask   `json:"task,omitempty"`
 	Tasks []*LeasedTask `json:"tasks,omitempty"`
 }
 
-// Leased returns the granted batch, normalizing a single-task
-// (pre-batch scheduler) response into a one-element slice.
+// Leased returns the granted batch.
 func (r LeaseResponse) Leased() []*LeasedTask {
-	if len(r.Tasks) > 0 {
-		return r.Tasks
-	}
-	if r.Task != nil {
-		return []*LeasedTask{r.Task}
-	}
-	return nil
+	return r.Tasks
 }
 
 // ResultReport is a worker reporting a finished task. A successful

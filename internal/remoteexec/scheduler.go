@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"comtainer/internal/core/ctxutil"
 )
 
 // Scheduler default tuning.
@@ -23,12 +21,6 @@ const (
 	// maxPollWait caps the long-poll duration of the lease and status
 	// endpoints; clients poll again for longer waits.
 	maxPollWait = 10 * time.Second
-	// pollTick is the re-check interval inside a long poll. Expiry of
-	// dead workers rides on this tick, so the scheduler needs no
-	// background goroutine of its own: as long as anyone is polling
-	// (and an executor with pending tasks always is), failed workers
-	// are detected within one tick.
-	pollTick = 10 * time.Millisecond
 )
 
 // schedWorker is the scheduler's view of one registered worker.
@@ -77,6 +69,9 @@ type Scheduler struct {
 	tasks   map[string]*schedTask
 	queue   []string // queued task IDs, FIFO
 	nextID  int
+	// changed is closed and replaced on every state change, waking
+	// every parked long poll at once (see longPoll).
+	changed chan struct{}
 }
 
 // NewScheduler returns an empty farm scheduler.
@@ -84,7 +79,16 @@ func NewScheduler() *Scheduler {
 	return &Scheduler{
 		workers: make(map[string]*schedWorker),
 		tasks:   make(map[string]*schedTask),
+		changed: make(chan struct{}),
 	}
+}
+
+// notifyLocked wakes every parked long poll to re-check its condition.
+// One call per lock hold covers every change made in it, as the polls
+// re-check under s.mu. Callers hold s.mu.
+func (s *Scheduler) notifyLocked() {
+	close(s.changed)
+	s.changed = make(chan struct{})
 }
 
 func (s *Scheduler) heartbeatTimeout() time.Duration {
@@ -113,6 +117,7 @@ func (s *Scheduler) expireLocked(now time.Time) {
 			continue
 		}
 		delete(s.workers, id)
+		s.notifyLocked()
 		for tid := range w.inflight {
 			t, ok := s.tasks[tid]
 			if !ok || t.state != StateRunning || t.worker != id {
@@ -156,6 +161,7 @@ func (s *Scheduler) failLocked(t *schedTask, why string) {
 			break
 		}
 	}
+	s.notifyLocked()
 }
 
 func (s *Scheduler) hasCompatibleLocked(p Platform) bool {
@@ -242,18 +248,14 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// pollWait parses the ?wait= duration of a long poll, clamped to
-// [0, maxPollWait].
-func pollWait(r *http.Request) time.Duration {
-	ms, err := strconv.Atoi(r.URL.Query().Get("wait"))
-	if err != nil || ms < 0 {
-		return 0
+// queryInt parses the integer query parameter key clamped to [lo, hi];
+// lo when it is absent or malformed.
+func queryInt(r *http.Request, key string, lo, hi int) int {
+	n, err := strconv.Atoi(r.URL.Query().Get(key))
+	if err != nil || n < lo {
+		return lo
 	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > maxPollWait {
-		d = maxPollWait
-	}
-	return d
+	return min(n, hi)
 }
 
 func (s *Scheduler) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -272,6 +274,7 @@ func (s *Scheduler) handleRegister(w http.ResponseWriter, r *http.Request) {
 		platform: req.Platform, lastBeat: time.Now(),
 		inflight: make(map[string]bool),
 	}
+	s.notifyLocked()
 	s.mu.Unlock()
 	// Workers must beat well inside the expiry window; a third leaves
 	// room for two lost beats.
@@ -302,6 +305,9 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "task has empty argv", http.StatusBadRequest)
 		return
 	}
+	if spec.Repo == "" {
+		spec.Repo = DefaultRepo
+	}
 	s.mu.Lock()
 	s.expireLocked(time.Now())
 	if !s.hasCompatibleLocked(spec.Platform) {
@@ -313,25 +319,13 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	t := &schedTask{id: fmt.Sprintf("t%d", s.nextID), spec: spec, state: StateQueued}
 	s.tasks[t.id] = t
 	s.queue = append(s.queue, t.id)
+	s.notifyLocked()
 	s.mu.Unlock()
 	writeJSON(w, SubmitResponse{TaskID: t.id})
 }
 
 // maxLeaseBatch caps how many tasks one lease poll may request.
 const maxLeaseBatch = 16
-
-// leaseMax parses the ?max= batch budget of a lease poll, clamped to
-// [1, maxLeaseBatch].
-func leaseMax(r *http.Request) int {
-	n, err := strconv.Atoi(r.URL.Query().Get("max"))
-	if err != nil || n < 1 {
-		return 1
-	}
-	if n > maxLeaseBatch {
-		return maxLeaseBatch
-	}
-	return n
-}
 
 // handleLease hands the polling worker up to ?max= of the oldest
 // queued tasks its platform can run, long-polling up to ?wait= for
@@ -340,33 +334,59 @@ func leaseMax(r *http.Request) int {
 // parked worker.
 func (s *Scheduler) handleLease(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("worker")
-	max := leaseMax(r)
-	deadline := time.Now().Add(pollWait(r))
-	ctx := r.Context()
-	for {
-		s.mu.Lock()
-		now := time.Now()
+	max := queryInt(r, "max", 1, maxLeaseBatch)
+	s.longPoll(w, r, func(now time.Time) (any, bool, *httpError) {
 		wk, ok := s.workers[id]
 		if !ok {
-			s.mu.Unlock()
-			http.Error(w, "unknown worker (expired?)", http.StatusGone)
-			return
+			return nil, false, &httpError{status: http.StatusGone, msg: "unknown worker (expired?)"}
 		}
 		wk.lastBeat = now
 		s.expireLocked(now)
 		leased := s.assignLocked(wk, max)
+		return LeaseResponse{Tasks: leased}, len(leased) > 0, nil
+	})
+}
+
+// longPoll answers a lease or status poll. check runs under s.mu and
+// returns the reply, whether it is final, or an error to send instead.
+// A reply that is not final is sent once ?wait= elapses; until then
+// the poll parks on the change broadcast it captured in the same lock
+// hold as its check, so no wake-up is lost. The park also ends when
+// the earliest live worker's heartbeat window closes: check then runs
+// expireLocked on time, and the scheduler needs no background
+// goroutine. A cancelled request gets no reply.
+func (s *Scheduler) longPoll(w http.ResponseWriter, r *http.Request, check func(now time.Time) (any, bool, *httpError)) {
+	wait := queryInt(r, "wait", 0, int(maxPollWait/time.Millisecond))
+	deadline := time.Now().Add(time.Duration(wait) * time.Millisecond)
+	for {
+		s.mu.Lock()
+		now := time.Now()
+		reply, final, herr := check(now)
+		changed := s.changed
+		wake := deadline
+		for _, wk := range s.workers {
+			if at := wk.lastBeat.Add(s.heartbeatTimeout()); at.Before(wake) {
+				wake = at
+			}
+		}
 		s.mu.Unlock()
-		if len(leased) > 0 {
-			writeJSON(w, LeaseResponse{Task: leased[0], Tasks: leased})
+		if herr != nil {
+			http.Error(w, herr.msg, herr.status)
 			return
 		}
-		if time.Now().After(deadline) {
-			writeJSON(w, LeaseResponse{})
+		if final || !now.Before(deadline) {
+			writeJSON(w, reply)
 			return
 		}
-		if err := ctxutil.Sleep(ctx, pollTick); err != nil {
+		t := time.NewTimer(wake.Sub(now))
+		select {
+		case <-changed:
+		case <-t.C:
+		case <-r.Context().Done():
+			t.Stop()
 			return
 		}
+		t.Stop()
 	}
 }
 
@@ -399,6 +419,10 @@ func (s *Scheduler) assignLocked(wk *schedWorker, max int) []*LeasedTask {
 		t.attempts++
 		wk.inflight[t.id] = true
 		out = append(out, &LeasedTask{ID: t.id, Spec: t.spec})
+	}
+	if len(out) > 0 {
+		// Filled slots change which peers may take lookahead.
+		s.notifyLocked()
 	}
 	return out
 }
@@ -446,6 +470,7 @@ func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request, tid str
 		t.worker = ""
 		t.payload = rep
 	}
+	s.notifyLocked()
 	st := t.status()
 	s.mu.Unlock()
 	writeJSON(w, st)
@@ -455,25 +480,13 @@ func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request, tid str
 // elapses. The poll drives worker expiry, so an executor waiting on a
 // task stuck on a dead worker sees the requeue/failure promptly.
 func (s *Scheduler) handleTaskStatus(w http.ResponseWriter, r *http.Request, tid string) {
-	deadline := time.Now().Add(pollWait(r))
-	ctx := r.Context()
-	for {
-		s.mu.Lock()
+	s.longPoll(w, r, func(now time.Time) (any, bool, *httpError) {
 		t, ok := s.tasks[tid]
 		if !ok {
-			s.mu.Unlock()
-			http.Error(w, "unknown task", http.StatusNotFound)
-			return
+			return nil, false, &httpError{status: http.StatusNotFound, msg: "unknown task"}
 		}
-		s.expireLocked(time.Now())
+		s.expireLocked(now)
 		st := t.status()
-		s.mu.Unlock()
-		if st.State == StateDone || st.State == StateFailed || time.Now().After(deadline) {
-			writeJSON(w, st)
-			return
-		}
-		if err := ctxutil.Sleep(ctx, pollTick); err != nil {
-			return
-		}
-	}
+		return st, st.Terminal(), nil
+	})
 }

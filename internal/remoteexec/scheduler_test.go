@@ -70,7 +70,10 @@ func (f *farm) lease(worker string, wait time.Duration) *LeasedTask {
 	f.t.Helper()
 	var resp LeaseResponse
 	f.must(http.MethodPost, "/lease?worker="+worker+"&wait="+itoa(wait), nil, &resp)
-	return resp.Task
+	if leased := resp.Leased(); len(leased) > 0 {
+		return leased[0]
+	}
+	return nil
 }
 
 func (f *farm) taskStatus(id string, wait time.Duration) TaskStatus {
@@ -283,9 +286,6 @@ func (f *farm) leaseBatch(worker string, max int, wait time.Duration) []*LeasedT
 	f.t.Helper()
 	var resp LeaseResponse
 	f.must(http.MethodPost, "/lease?worker="+worker+"&max="+strconv.Itoa(max)+"&wait="+itoa(wait), nil, &resp)
-	if resp.Task != nil && (len(resp.Tasks) == 0 || resp.Tasks[0].ID != resp.Task.ID) {
-		f.t.Fatalf("lease response Task %v does not mirror Tasks[0] of %v", resp.Task, resp.Tasks)
-	}
 	return resp.Leased()
 }
 
@@ -334,8 +334,8 @@ func TestLeaseBatchLeavesWorkForIdlePeer(t *testing.T) {
 	}
 }
 
-// TestLeaseSingleTaskCompat: a poll without ?max= behaves exactly as
-// before batching — one task, mirrored in both response fields.
+// TestLeaseSingleTaskCompat: a poll without ?max= is granted exactly
+// one task, however many free slots and queued tasks there are.
 func TestLeaseSingleTaskCompat(t *testing.T) {
 	f := newFarm(t, NewScheduler())
 	w := f.register("legacy", 4)
@@ -343,7 +343,86 @@ func TestLeaseSingleTaskCompat(t *testing.T) {
 	f.submit()
 	var resp LeaseResponse
 	f.must(http.MethodPost, "/lease?worker="+w+"&wait=0", nil, &resp)
-	if resp.Task == nil || len(resp.Tasks) != 1 || resp.Tasks[0].ID != resp.Task.ID {
-		t.Fatalf("single lease response = %+v, want one task mirrored in Task and Tasks", resp)
+	if len(resp.Tasks) != 1 {
+		t.Fatalf("lease without ?max= granted %d tasks, want 1: %+v", len(resp.Tasks), resp)
+	}
+}
+
+// parkedPoll starts a long poll in the background, lets it park on the
+// scheduler, and returns the channel its decoded reply arrives on. A
+// poll that is not yet parked when the test acts still passes; one
+// that is parked proves the wake-up path.
+func parkedPoll[T any](f *farm, method, path string) <-chan T {
+	out := make(chan T, 1)
+	go func() {
+		var v T
+		if err := f.do(method, path, nil, &v); err != nil {
+			f.t.Errorf("%s %s: %v", method, path, err)
+		}
+		out <- v
+	}()
+	time.Sleep(50 * time.Millisecond)
+	return out
+}
+
+// TestLongPollLeaseWakesOnSubmit: a lease parked for 5 s returns a
+// task submitted after it parked at once, not at its deadline — a lost
+// wake-up shows as a 5 s stall.
+func TestLongPollLeaseWakesOnSubmit(t *testing.T) {
+	f := newFarm(t, NewScheduler())
+	w := f.register("w", 1)
+	got := parkedPoll[LeaseResponse](f, http.MethodPost, "/lease?worker="+w+"&wait=5000")
+	start := time.Now()
+	tid := f.submit()
+	lr := <-got
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("parked lease took %v to see the submit", took)
+	}
+	if leased := lr.Leased(); len(leased) != 1 || leased[0].ID != tid {
+		t.Fatalf("parked lease returned %+v, want task %s", lr, tid)
+	}
+}
+
+// TestLongPollStatusWakesOnResult: a status poll parked for 5 s
+// returns done as soon as the worker's result is posted.
+func TestLongPollStatusWakesOnResult(t *testing.T) {
+	f := newFarm(t, NewScheduler())
+	w := f.register("w", 1)
+	tid := f.submit()
+	if lt := f.lease(w, 0); lt == nil || lt.ID != tid {
+		t.Fatalf("lease: got %+v, want task %s", lt, tid)
+	}
+	got := parkedPoll[TaskStatus](f, http.MethodGet, "/tasks/"+tid+"?wait=5000")
+	start := time.Now()
+	f.must(http.MethodPost, "/tasks/"+tid+"/result", ResultReport{WorkerID: w, Payload: digest.FromBytes([]byte("r"))}, nil)
+	st := <-got
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("parked status poll took %v to see the result", took)
+	}
+	if st.State != StateDone {
+		t.Fatalf("parked status poll returned %q, want %q", st.State, StateDone)
+	}
+}
+
+// TestLongPollStatusExpiresSilentWorker: with no other client polling,
+// one status poll parked on a task whose only worker went silent wakes
+// when the worker's heartbeat window closes and returns failed, long
+// before its 5 s wait.
+func TestLongPollStatusExpiresSilentWorker(t *testing.T) {
+	sched := NewScheduler()
+	sched.HeartbeatTimeout = 100 * time.Millisecond
+	f := newFarm(t, sched)
+	w := f.register("silent", 1)
+	tid := f.submit()
+	if lt := f.lease(w, 0); lt == nil || lt.ID != tid {
+		t.Fatalf("lease: got %+v, want task %s", lt, tid)
+	}
+	start := time.Now()
+	st := f.taskStatus(tid, 5*time.Second)
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("status poll took %v to see the silent worker expire", took)
+	}
+	if st.State != StateFailed {
+		t.Fatalf("task on an expired worker: state %q, want %q", st.State, StateFailed)
 	}
 }

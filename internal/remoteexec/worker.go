@@ -22,6 +22,12 @@ import (
 // scheduler before coming back empty.
 const leaseWaitMillis = 1000
 
+// memoTrees bounds the worker's snapshot memo. A site rebuilds a
+// rotating set of images, and a miss re-transfers and re-materializes
+// a whole snapshot, so the memo holds a rotation of this many; beyond
+// it the least recently used snapshot is evicted.
+const memoTrees = 16
+
 // reportAttempts bounds result-report retries. The report is the
 // acknowledgement handshake: a worker keeps resubmitting until the
 // scheduler confirms, so an acknowledged result is never lost, and an
@@ -60,7 +66,7 @@ type Worker struct {
 	ExecDelay time.Duration
 
 	treeMu sync.Mutex
-	trees  map[digest.Digest]*fsim.FS
+	trees  []memoTree // least recently used first; at most memoTrees
 
 	overlayMu sync.Mutex
 	overlays  map[digest.Digest]Payload // prefetched, consumed on use
@@ -77,6 +83,12 @@ func NewWorker(scheduler string, sys *sysprofile.System, reg *toolchain.Registry
 		Platform:  Platform{ISA: sys.ISA, System: sys.Name, Toolchains: reg.Fingerprint()},
 		Registry:  reg,
 	}
+}
+
+// memoTree is one materialized session snapshot in the worker's memo.
+type memoTree struct {
+	td   digest.Digest
+	fsys *fsim.FS
 }
 
 func (w *Worker) httpClient() *http.Client {
@@ -102,10 +114,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	slots := w.Slots
-	if slots <= 0 {
-		slots = 1
-	}
+	slots := max(w.Slots, 1)
 	errc := make(chan error, slots+1)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -215,17 +224,11 @@ func (w *Worker) slotLoop(ctx context.Context, id string) error {
 // waiting on the wire. Best-effort: a failed prefetch just means
 // executeTask fetches for real.
 func (w *Worker) prefetchTask(ctx context.Context, t *LeasedTask) {
-	repo := t.Spec.Repo
-	if repo == "" {
-		repo = DefaultRepo
-	}
-	if fsys, err := w.baseFS(ctx, repo, t.Spec.BaseTree); err == nil {
-		_ = fsys // memoized under treeMu; the clone is discarded
-	}
+	_, _ = w.tree(ctx, t.Spec.Repo, t.Spec.BaseTree) // a miss is retried by executeTask
 	if t.Spec.Overlay == "" {
 		return
 	}
-	p, err := FetchPayload(ctx, w.Client, repo, t.Spec.Overlay)
+	p, err := FetchPayload(ctx, w.Client, t.Spec.Repo, t.Spec.Overlay)
 	if err != nil {
 		return
 	}
@@ -276,38 +279,40 @@ func (w *Worker) report(ctx context.Context, taskID string, rep ResultReport) er
 	return last
 }
 
-// baseFS materializes (and memoizes) the session snapshot td; callers
-// receive a private clone to mutate.
-func (w *Worker) baseFS(ctx context.Context, repo string, td digest.Digest) (*fsim.FS, error) {
+// tree returns the materialized session snapshot td, fetching it on a
+// miss. The memo keeps the memoTrees most recently used snapshots, so
+// a long-lived worker serving many rebuild sessions stays bounded. The
+// result is shared: callers Clone it before mutating.
+func (w *Worker) tree(ctx context.Context, repo string, td digest.Digest) (*fsim.FS, error) {
 	w.treeMu.Lock()
 	defer w.treeMu.Unlock()
-	if cached, ok := w.trees[td]; ok {
-		return cached.Clone(), nil
+	for i, m := range w.trees {
+		if m.td == td {
+			w.trees = append(append(w.trees[:i], w.trees[i+1:]...), m)
+			return m.fsys, nil
+		}
 	}
 	fsys, err := FetchTree(ctx, w.Client, repo, td)
 	if err != nil {
 		return nil, err
 	}
-	if w.trees == nil {
-		w.trees = make(map[digest.Digest]*fsim.FS)
+	if len(w.trees) >= memoTrees {
+		w.trees = append(w.trees[:0], w.trees[1:]...)
 	}
-	w.trees[td] = fsys
-	return fsys.Clone(), nil
+	w.trees = append(w.trees, memoTree{td: td, fsys: fsys})
+	return fsys, nil
 }
 
 // executeTask runs one leased action and publishes its payload blob,
 // returning the blob digest the result report carries.
 func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (digest.Digest, error) {
-	repo := t.Spec.Repo
-	if repo == "" {
-		repo = DefaultRepo
-	}
-	fsys, err := w.baseFS(ctx, repo, t.Spec.BaseTree)
+	base, err := w.tree(ctx, t.Spec.Repo, t.Spec.BaseTree)
 	if err != nil {
 		return "", err
 	}
+	fsys := base.Clone()
 	if t.Spec.Overlay != "" {
-		ov, err := w.fetchOverlay(ctx, repo, t.Spec.Overlay)
+		ov, err := w.fetchOverlay(ctx, t.Spec.Repo, t.Spec.Overlay)
 		if err != nil {
 			return "", err
 		}
@@ -335,7 +340,7 @@ func (w *Worker) executeTask(ctx context.Context, t *LeasedTask) (digest.Digest,
 	if err != nil {
 		return "", fmt.Errorf("remoteexec: task %s: %w", t.ID, err)
 	}
-	return PushPayload(ctx, w.Client, repo, p)
+	return PushPayload(ctx, w.Client, t.Spec.Repo, p)
 }
 
 // captureCache sits under the worker's per-task memoizer: it records

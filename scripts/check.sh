@@ -80,6 +80,9 @@ echo "== chaos (-race, -short seed subset) =="
 go test -race -short -count=1 \
     -run 'Chaos|CrashRestartVerify|SaveLayoutCrashConsistency|Resume|CancelAborts|Breaker|TieredDegrades' \
     ./internal/distrib ./internal/actioncache ./internal/oci ./internal/remoteexec ./internal/fleet
+# The farm scheduler's long polls park on one broadcast wake-up; a lost
+# wake-up is a timing race, so its tests repeat under the race detector.
+go test -race -count=20 -run 'LongPoll' ./internal/remoteexec
 
 echo "== go test -race =="
 go test -race ./...
